@@ -10,14 +10,13 @@ use ugc_graphir::keys;
 use ugc_graphir::types::{Direction, VertexSetRepr};
 use ugc_runtime::eval::{BufferedOutput, EdgeCtx, Evaluator, NullMemory, NullOutput};
 use ugc_runtime::interp::{ExecError, OperatorExecutor, ProgramState};
-use ugc_runtime::parallel::{default_threads, parallel_for_with_local};
-use ugc_runtime::pool::parallel_for_chunks_with_local;
+use ugc_runtime::pool::{default_threads, parallel_for_chunks_with_local, parallel_for_with_local};
 use ugc_runtime::value::Value;
 use ugc_runtime::vertexset::VertexSet;
 use ugc_runtime::UdfId;
 use ugc_schedule::{schedule_of, SchedulePoint};
 
-use ugc_telemetry::{Counter, Span};
+use ugc_telemetry::{AttributionKeys, Counter, Span};
 
 use crate::kernels::{self, EdgeKernel, Io, KernelCache, KernelKey};
 use crate::schedule::CpuSchedule;
@@ -35,14 +34,34 @@ struct CpuCounters {
     kernel_fallback: Counter,
 }
 
+/// Registry keys of the wall-time attribution, in
+/// [`CpuAttribution::components`] order. The three operator phases are the
+/// `.ns` halves of [`Span`]s.
+pub const ATTRIBUTION: AttributionKeys = AttributionKeys {
+    prefix: "cpu.",
+    unit: "ns",
+    components: &[
+        ("edge_push", "cpu.edge_push.ns"),
+        ("edge_pull", "cpu.edge_pull.ns"),
+        ("vertex_apply", "cpu.vertex_apply.ns"),
+        ("other", "cpu.other.ns"),
+    ],
+    total: "cpu.elapsed.ns",
+};
+
 fn counters() -> &'static CpuCounters {
     static COUNTERS: OnceLock<CpuCounters> = OnceLock::new();
+    // `Span::new(name)` registers `<name>.ns`.
+    let span = |i: usize| {
+        let key = ATTRIBUTION.components[i].1;
+        Span::new(key.strip_suffix(".ns").unwrap_or(key))
+    };
     COUNTERS.get_or_init(|| CpuCounters {
-        edge_push: Span::new("cpu.edge_push"),
-        edge_pull: Span::new("cpu.edge_pull"),
-        vertex_apply: Span::new("cpu.vertex_apply"),
-        other_ns: Counter::new("cpu.other.ns"),
-        elapsed_ns: Counter::new("cpu.elapsed.ns"),
+        edge_push: span(0),
+        edge_pull: span(1),
+        vertex_apply: span(2),
+        other_ns: Counter::new(ATTRIBUTION.components[3].1),
+        elapsed_ns: Counter::new(ATTRIBUTION.total),
         runs: Counter::new("cpu.runs"),
         direction_switches: Counter::new("cpu.direction_switches"),
         kernel_specialized: Counter::new("cpu.kernel.specialized"),

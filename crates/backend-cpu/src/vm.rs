@@ -1,12 +1,8 @@
 //! The CPU GraphVM entry point.
 
-use std::collections::HashMap;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use ugc_graph::Graph;
-use ugc_graphir::ir::Program;
-use ugc_runtime::interp::{contain, run_main, ExecError, ProgramState};
-use ugc_runtime::value::Value;
+use ugc_runtime::GraphVm;
 
 use crate::executor::{CpuAttribution, CpuExecutor};
 
@@ -17,56 +13,14 @@ pub struct CpuGraphVm {
     pub executor: CpuExecutor,
 }
 
-/// The result of one execution: final program state plus wall-clock time.
-pub struct Execution<'g> {
-    /// Final state (properties, globals, prints).
-    pub state: ProgramState<'g>,
-    /// Wall-clock time of `main` (excludes state setup).
-    pub elapsed: Duration,
+/// What one CPU run reports besides its wall time.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CpuStats {
     /// Where the wall time went; components sum to `attr.total()`.
     /// All zeros when telemetry is disabled.
     pub attr: CpuAttribution,
-}
-
-impl std::fmt::Debug for Execution<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Execution")
-            .field("elapsed", &self.elapsed)
-            .finish()
-    }
-}
-
-impl Execution<'_> {
-    /// Snapshot of a property by name as integers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the property does not exist (a compile bug, not a data
-    /// error).
-    pub fn property_ints(&self, name: &str) -> Vec<i64> {
-        let id = self.state.props.id_of(name).expect("property exists");
-        self.state
-            .props
-            .snapshot(id)
-            .into_iter()
-            .map(|v| v.as_int())
-            .collect()
-    }
-
-    /// Snapshot of a property by name as floats.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the property does not exist.
-    pub fn property_floats(&self, name: &str) -> Vec<f64> {
-        let id = self.state.props.id_of(name).expect("property exists");
-        self.state
-            .props
-            .snapshot(id)
-            .into_iter()
-            .map(|v| v.as_float())
-            .collect()
-    }
+    /// Exact wall-clock nanoseconds of `main` (excludes state setup).
+    pub elapsed_ns: u64,
 }
 
 impl CpuGraphVm {
@@ -85,44 +39,27 @@ impl CpuGraphVm {
         self.executor.use_kernels = on;
         self
     }
+}
 
-    /// Executes a program (already lowered and passed through the midend)
-    /// on `graph`, binding extern consts from `externs`.
-    ///
-    /// Runs under [`contain`]: panics anywhere in the execution (broken
-    /// invariants, watchdog payloads) come back as classed [`ExecError`]s
-    /// instead of unwinding into the caller.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError`] for unbound externs or execution failures.
-    pub fn execute<'g>(
-        &self,
-        prog: Program,
-        graph: &'g Graph,
-        externs: &HashMap<String, Value>,
-    ) -> Result<Execution<'g>, ExecError> {
-        contain(std::panic::AssertUnwindSafe(|| {
-            let mut state = ProgramState::new(prog, graph, externs)?;
-            let mut exec = self.executor.clone();
-            let start = Instant::now();
-            let result = run_main(&mut state, &mut exec);
-            let elapsed = start.elapsed();
-            // Attribute even on error so global counters stay consistent.
-            let attr = exec.finish_run(elapsed.as_nanos() as u64);
-            result?;
-            Ok(Execution {
-                state,
-                elapsed,
-                attr,
-            })
-        }))
+impl GraphVm for CpuGraphVm {
+    type Executor = CpuExecutor;
+    type Stats = CpuStats;
+
+    fn executor(&self) -> CpuExecutor {
+        self.executor.clone()
+    }
+
+    fn finish(&self, mut exec: CpuExecutor, wall: Duration) -> (f64, u64, CpuStats) {
+        let elapsed_ns = wall.as_nanos() as u64;
+        let attr = exec.finish_run(elapsed_ns);
+        (wall.as_secs_f64() * 1e3, 0, CpuStats { attr, elapsed_ns })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     #[test]
     fn vm_runs_and_times() {
@@ -180,15 +117,16 @@ end
         if ugc_telemetry::enabled() {
             // Components sum exactly to the attributed total, which covers
             // the whole elapsed window.
+            let attr = run.stats.attr;
             assert_eq!(
-                run.attr.components().iter().map(|(_, v)| v).sum::<u64>(),
-                run.attr.total()
+                attr.components().iter().map(|(_, v)| v).sum::<u64>(),
+                attr.total()
             );
-            assert!(run.attr.total() >= run.elapsed.as_nanos() as u64);
-            assert!(run.attr.edge_push + run.attr.edge_pull > 0);
-            assert!(run.attr.vertex_apply > 0);
+            assert!(attr.total() >= run.stats.elapsed_ns);
+            assert!(attr.edge_push + attr.edge_pull > 0);
+            assert!(attr.vertex_apply > 0);
         } else {
-            assert_eq!(run.attr, CpuAttribution::default());
+            assert_eq!(run.stats.attr, CpuAttribution::default());
         }
     }
 }

@@ -29,4 +29,4 @@ pub mod vm;
 pub use executor::GpuExecutor;
 pub use load_balance::LoadBalance;
 pub use schedule::{FrontierCreation, GpuSchedule, GpuScheduleSpace};
-pub use vm::{GpuExecution, GpuGraphVm};
+pub use vm::GpuGraphVm;

@@ -25,4 +25,4 @@ pub mod vm;
 
 pub use executor::HbExecutor;
 pub use schedule::{HbLoadBalance, HbSchedule, HbScheduleSpace};
-pub use vm::{HbExecution, HbGraphVm};
+pub use vm::HbGraphVm;

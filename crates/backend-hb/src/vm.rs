@@ -1,11 +1,8 @@
 //! The HammerBlade GraphVM entry point.
 
-use std::collections::HashMap;
+use std::time::Duration;
 
-use ugc_graph::Graph;
-use ugc_graphir::ir::Program;
-use ugc_runtime::interp::{contain, run_main, ExecError, ProgramState};
-use ugc_runtime::value::Value;
+use ugc_runtime::GraphVm;
 use ugc_sim_hb::{HbConfig, HbSim, HbStats};
 
 use crate::executor::HbExecutor;
@@ -15,61 +12,6 @@ use crate::executor::HbExecutor;
 pub struct HbGraphVm {
     /// Simulated machine configuration.
     pub config: HbConfig,
-}
-
-/// Result of one simulated execution.
-pub struct HbExecution<'g> {
-    /// Final program state.
-    pub state: ProgramState<'g>,
-    /// Simulated cycles.
-    pub cycles: u64,
-    /// Simulated milliseconds.
-    pub time_ms: f64,
-    /// Memory-system statistics (Table IX's inputs).
-    pub stats: HbStats,
-    /// Achieved DRAM bandwidth as a fraction of peak.
-    pub bandwidth_utilization: f64,
-}
-
-impl std::fmt::Debug for HbExecution<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HbExecution")
-            .field("cycles", &self.cycles)
-            .field("stats", &self.stats)
-            .finish()
-    }
-}
-
-impl HbExecution<'_> {
-    /// Snapshot of an integer property.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the property does not exist.
-    pub fn property_ints(&self, name: &str) -> Vec<i64> {
-        let id = self.state.props.id_of(name).expect("property exists");
-        self.state
-            .props
-            .snapshot(id)
-            .into_iter()
-            .map(|v| v.as_int())
-            .collect()
-    }
-
-    /// Snapshot of a float property.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the property does not exist.
-    pub fn property_floats(&self, name: &str) -> Vec<f64> {
-        let id = self.state.props.id_of(name).expect("property exists");
-        self.state
-            .props
-            .snapshot(id)
-            .into_iter()
-            .map(|v| v.as_float())
-            .collect()
-    }
 }
 
 impl HbGraphVm {
@@ -84,30 +26,23 @@ impl HbGraphVm {
             config: HbConfig::default().with_rows(rows),
         }
     }
+}
 
-    /// Executes a midend-processed program on `graph`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError`] for unbound externs or execution failures.
-    pub fn execute<'g>(
-        &self,
-        prog: Program,
-        graph: &'g Graph,
-        externs: &HashMap<String, Value>,
-    ) -> Result<HbExecution<'g>, ExecError> {
-        contain(std::panic::AssertUnwindSafe(|| {
-            let mut state = ProgramState::new(prog, graph, externs)?;
-            let mut exec = HbExecutor::new(HbSim::new(self.config.clone()));
-            run_main(&mut state, &mut exec)?;
-            Ok(HbExecution {
-                cycles: exec.sim.time_cycles(),
-                time_ms: exec.sim.time_ms(),
-                stats: exec.sim.stats,
-                bandwidth_utilization: exec.sim.bandwidth_utilization(),
-                state,
-            })
-        }))
+impl GraphVm for HbGraphVm {
+    type Executor = HbExecutor;
+    /// Memory-system statistics (Table IX's inputs).
+    type Stats = HbStats;
+
+    fn executor(&self) -> HbExecutor {
+        HbExecutor::new(HbSim::new(self.config.clone()))
+    }
+
+    fn finish(&self, exec: HbExecutor, _wall: Duration) -> (f64, u64, HbStats) {
+        let stats = HbStats {
+            bandwidth_utilization: exec.sim.bandwidth_utilization(),
+            ..exec.sim.stats
+        };
+        (exec.sim.time_ms(), exec.sim.time_cycles(), stats)
     }
 }
 
@@ -115,6 +50,8 @@ impl HbGraphVm {
 mod tests {
     use super::*;
     use crate::schedule::{HbLoadBalance, HbSchedule};
+    use std::collections::HashMap;
+    use ugc_runtime::value::Value;
     use ugc_schedule::{apply_schedule, ScheduleRef};
 
     const BFS: &str = r#"

@@ -30,4 +30,4 @@ pub mod vm;
 
 pub use executor::SwarmExecutor;
 pub use schedule::{Frontiers, SwarmSchedule, SwarmScheduleSpace, TaskGranularity};
-pub use vm::{SwarmExecution, SwarmGraphVm};
+pub use vm::SwarmGraphVm;

@@ -1,11 +1,8 @@
 //! The Swarm GraphVM entry point.
 
-use std::collections::HashMap;
+use std::time::Duration;
 
-use ugc_graph::Graph;
-use ugc_graphir::ir::Program;
-use ugc_runtime::interp::{contain, run_main, ExecError, ProgramState};
-use ugc_runtime::value::Value;
+use ugc_runtime::GraphVm;
 use ugc_sim_swarm::{SwarmConfig, SwarmSim, SwarmStats};
 
 use crate::executor::SwarmExecutor;
@@ -15,59 +12,6 @@ use crate::executor::SwarmExecutor;
 pub struct SwarmGraphVm {
     /// Simulated machine configuration.
     pub config: SwarmConfig,
-}
-
-/// Result of one simulated execution.
-pub struct SwarmExecution<'g> {
-    /// Final program state.
-    pub state: ProgramState<'g>,
-    /// Simulated cycles.
-    pub cycles: u64,
-    /// Simulated milliseconds.
-    pub time_ms: f64,
-    /// Task/abort/idle statistics (Fig. 11's categories).
-    pub stats: SwarmStats,
-}
-
-impl std::fmt::Debug for SwarmExecution<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SwarmExecution")
-            .field("cycles", &self.cycles)
-            .field("stats", &self.stats)
-            .finish()
-    }
-}
-
-impl SwarmExecution<'_> {
-    /// Snapshot of an integer property.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the property does not exist.
-    pub fn property_ints(&self, name: &str) -> Vec<i64> {
-        let id = self.state.props.id_of(name).expect("property exists");
-        self.state
-            .props
-            .snapshot(id)
-            .into_iter()
-            .map(|v| v.as_int())
-            .collect()
-    }
-
-    /// Snapshot of a float property.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the property does not exist.
-    pub fn property_floats(&self, name: &str) -> Vec<f64> {
-        let id = self.state.props.id_of(name).expect("property exists");
-        self.state
-            .props
-            .snapshot(id)
-            .into_iter()
-            .map(|v| v.as_float())
-            .collect()
-    }
 }
 
 impl SwarmGraphVm {
@@ -82,29 +26,19 @@ impl SwarmGraphVm {
             config: SwarmConfig::default().with_cores(n),
         }
     }
+}
 
-    /// Executes a midend-processed program on `graph`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError`] for unbound externs or execution failures.
-    pub fn execute<'g>(
-        &self,
-        prog: Program,
-        graph: &'g Graph,
-        externs: &HashMap<String, Value>,
-    ) -> Result<SwarmExecution<'g>, ExecError> {
-        contain(std::panic::AssertUnwindSafe(|| {
-            let mut state = ProgramState::new(prog, graph, externs)?;
-            let mut exec = SwarmExecutor::new(SwarmSim::new(self.config.clone()));
-            run_main(&mut state, &mut exec)?;
-            Ok(SwarmExecution {
-                cycles: exec.sim.time_cycles(),
-                time_ms: exec.sim.time_ms(),
-                stats: exec.sim.stats,
-                state,
-            })
-        }))
+impl GraphVm for SwarmGraphVm {
+    type Executor = SwarmExecutor;
+    /// Task/abort/idle statistics (Fig. 11's categories).
+    type Stats = SwarmStats;
+
+    fn executor(&self) -> SwarmExecutor {
+        SwarmExecutor::new(SwarmSim::new(self.config.clone()))
+    }
+
+    fn finish(&self, exec: SwarmExecutor, _wall: Duration) -> (f64, u64, SwarmStats) {
+        (exec.sim.time_ms(), exec.sim.time_cycles(), exec.sim.stats)
     }
 }
 
@@ -112,6 +46,8 @@ impl SwarmGraphVm {
 mod tests {
     use super::*;
     use crate::schedule::{Frontiers, SwarmSchedule, TaskGranularity};
+    use std::collections::HashMap;
+    use ugc_runtime::value::Value;
     use ugc_schedule::{apply_schedule, ScheduleRef};
 
     const BFS: &str = r#"

@@ -11,6 +11,7 @@ use ugc_backend_hb::HbGraphVm;
 use ugc_backend_swarm::SwarmGraphVm;
 use ugc_bench::{tuned_schedule_for, Harness};
 use ugc_graph::{Dataset, Scale};
+use ugc_runtime::GraphVm;
 
 fn externs() -> std::collections::HashMap<String, ugc_runtime::value::Value> {
     let mut m = std::collections::HashMap::new();

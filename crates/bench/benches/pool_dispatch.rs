@@ -1,16 +1,14 @@
-//! Microbenchmark: spawn-per-call vs. persistent-pool parallel-for
-//! dispatch latency across frontier sizes.
+//! Microbenchmark: persistent-pool parallel-for dispatch latency across
+//! frontier sizes.
 //!
 //! Every CPU operator pays one parallel-for dispatch per traversal
 //! iteration, so dispatch latency is pure overhead on small and medium
 //! frontiers — exactly where BFS/SSSP spend most of their rounds. The
-//! `spawn` rows time the original `std::thread::scope` implementation
-//! (one thread spawn/join cycle per call); the `pool` rows time the
-//! persistent work-stealing pool. Both run the same trivial body so the
-//! delta is dispatch cost alone.
+//! `pool` rows time the persistent work-stealing pool; the `serial` rows
+//! run the same trivial body inline, so the delta is dispatch cost alone.
 //!
 //! Thread count is `default_threads().max(4)` — forced above 1 so the
-//! comparison is meaningful on single-core CI boxes too (the pool grows
+//! measurement is meaningful on single-core CI boxes too (the pool grows
 //! on demand; `UGC_THREADS` still caps it, so skip this bench under
 //! `UGC_THREADS=1`).
 
@@ -18,7 +16,6 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use ugc_bench::harness::Harness;
-use ugc_runtime::parallel::spawn_parallel_for_with_local;
 use ugc_runtime::pool;
 
 /// Frontier sizes: tiny tail rounds up through a scan-sized range.
@@ -35,21 +32,6 @@ fn main() {
     for total in SIZES {
         let reps = reps_for(total).max(1) as u32;
         let group = format!("pool_dispatch/n={total}");
-        h.bench(&group, "spawn", || {
-            let t0 = Instant::now();
-            for _ in 0..reps {
-                let locals = spawn_parallel_for_with_local::<u64, _>(
-                    threads,
-                    total,
-                    CHUNK,
-                    |_tid, range, local| {
-                        *local += black_box(range.len() as u64);
-                    },
-                );
-                black_box(locals);
-            }
-            t0.elapsed() / reps
-        });
         h.bench(&group, "pool", || {
             let t0 = Instant::now();
             for _ in 0..reps {

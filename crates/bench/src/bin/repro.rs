@@ -24,6 +24,7 @@ use ugc_bench::{
     parse_target, profile_backend, tune_dataset, tuned_schedule, Tuned, Tuner,
 };
 use ugc_graph::{Dataset, Scale};
+use ugc_runtime::GraphVm;
 use ugc_sim_gpu::GpuConfig;
 use ugc_sim_swarm::SwarmConfig;
 
@@ -1255,37 +1256,25 @@ fn fig12(scale: Scale) {
     }
 }
 
-/// Table III: lines of code per module of this reproduction.
+/// Table III: lines of code per crate of this reproduction (every
+/// directory under `crates/`).
 fn table3() {
     banner("Table 3 (analog): lines of Rust per module of this reproduction");
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+    let crates_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .parent()
-        .and_then(|p| p.parent())
-        .expect("workspace root")
-        .to_path_buf();
+        .expect("crates/ directory");
+    let mut crates: Vec<String> = std::fs::read_dir(crates_dir)
+        .expect("crates/ is readable")
+        .flatten()
+        .filter(|e| e.path().is_dir())
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .collect();
+    crates.sort();
     let mut total = 0usize;
-    for (label, rel) in [
-        ("Frontend (parser, AST, typecheck)", "crates/frontend/src"),
-        ("GraphIR", "crates/graphir/src"),
-        ("Scheduling language", "crates/schedule/src"),
-        ("HW-independent compiler", "crates/midend/src"),
-        ("Shared runtime", "crates/runtime/src"),
-        ("Graph substrate", "crates/graph/src"),
-        ("CPU GraphVM", "crates/backend-cpu/src"),
-        ("GPU GraphVM", "crates/backend-gpu/src"),
-        ("GPU simulator", "crates/sim-gpu/src"),
-        ("Swarm GraphVM", "crates/backend-swarm/src"),
-        ("Swarm simulator", "crates/sim-swarm/src"),
-        ("HammerBlade GraphVM", "crates/backend-hb/src"),
-        ("HammerBlade simulator", "crates/sim-hb/src"),
-        ("Algorithms & references", "crates/algorithms/src"),
-        ("Baselines (Fig. 9/12)", "crates/baselines/src"),
-        ("Facade", "crates/core/src"),
-        ("Bench harness", "crates/bench/src"),
-    ] {
-        let n = count_lines(&root.join(rel));
+    for name in crates {
+        let n = count_lines(&crates_dir.join(&name).join("src"));
         total += n;
-        println!("{label:<38}{n:>8}");
+        println!("{:<38}{n:>8}", format!("crates/{name}"));
     }
     println!("{:<38}{total:>8}", "TOTAL (library code)");
 }
@@ -1362,7 +1351,7 @@ fn table9(scale: Scale) {
             "{:<6}{:>14.2}{:>14.2}{:>10.2}",
             d.abbrev(),
             blocked.stats.dram_stall_cycles as f64 / base.stats.dram_stall_cycles.max(1) as f64,
-            blocked.bandwidth_utilization / base.bandwidth_utilization.max(1e-12),
+            blocked.stats.bandwidth_utilization / base.stats.bandwidth_utilization.max(1e-12),
             base.cycles as f64 / blocked.cycles as f64,
         );
     }

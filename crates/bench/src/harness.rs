@@ -7,9 +7,9 @@
 //! for the deterministic simulated targets where every iteration returns
 //! the same simulated duration).
 //!
-//! Output is one JSON line per benchmark on stdout — machine-consumable by
-//! `scripts/fill_experiments.py`-style tooling — plus a human-readable
-//! summary on stderr.
+//! Output is one JSON line per benchmark on stdout — machine-consumable,
+//! e.g. by `scripts/bench_snapshot.sh` — plus a human-readable summary on
+//! stderr.
 //!
 //! Iterations return their own [`Duration`]: wall-clock for the CPU
 //! backend, simulated time (1 cycle = 1 ns) for the simulator backends,

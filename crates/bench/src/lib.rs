@@ -520,15 +520,12 @@ pub fn parse_scale(s: &str) -> Result<Scale, String> {
 ///
 /// Returns a usage message naming the accepted values.
 pub fn parse_target(s: &str) -> Result<Target, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "cpu" => Ok(Target::Cpu),
-        "gpu" => Ok(Target::Gpu),
-        "swarm" => Ok(Target::Swarm),
-        "hb" | "hammerblade" => Ok(Target::HammerBlade),
-        other => Err(format!(
-            "unknown target `{other}` (expected cpu|gpu|swarm|hb)"
-        )),
-    }
+    Target::from_cli_name(s).ok_or_else(|| {
+        format!(
+            "unknown target `{}` (expected cpu|gpu|swarm|hb)",
+            s.to_ascii_lowercase()
+        )
+    })
 }
 
 /// Parses an algorithm name as spelled on the `repro -- tune` CLI. Unknown

@@ -4,12 +4,13 @@
 //! Every backend accounts its full reported time — simulated cycles for
 //! the three simulators, wall-clock nanoseconds for the CPU GraphVM — to a
 //! fixed set of components whose sum equals the total *exactly* (the
-//! invariant `tests/telemetry_invariants.rs` enforces). This module maps
-//! the registry's counter names to those component sets and renders them.
+//! invariant `tests/telemetry_invariants.rs` enforces). This module reads
+//! those component sets out of telemetry snapshots, using the counter
+//! names each backend declares, and renders them.
 
 use ugc::{Algorithm, Target};
 use ugc_graph::{Dataset, Graph, Scale};
-use ugc_telemetry::{Collector, Snapshot};
+use ugc_telemetry::{AttributionKeys, Collector, Snapshot};
 
 use crate::{baseline_schedule, try_measure};
 
@@ -26,80 +27,31 @@ pub struct Attribution {
     pub total: u64,
 }
 
-/// The component counters of one target: `(label, registry key)`.
-/// The label order matches each simulator's `components()` accessor.
+/// The registry keys of `target`'s attribution, as declared by the crate
+/// that registers those counters.
 #[must_use]
-pub fn component_keys(target: Target) -> &'static [(&'static str, &'static str)] {
+pub fn attribution_keys(target: Target) -> &'static AttributionKeys {
     match target {
-        Target::Cpu => &[
-            ("edge_push", "cpu.edge_push.ns"),
-            ("edge_pull", "cpu.edge_pull.ns"),
-            ("vertex_apply", "cpu.vertex_apply.ns"),
-            ("other", "cpu.other.ns"),
-        ],
-        Target::Gpu => &[
-            ("compute", "sim_gpu.cycles.compute"),
-            ("divergence", "sim_gpu.cycles.divergence"),
-            ("mem_stall", "sim_gpu.cycles.mem_stall"),
-            ("launch", "sim_gpu.cycles.launch"),
-            ("host", "sim_gpu.cycles.host"),
-        ],
-        Target::Swarm => &[
-            ("commit", "sim_swarm.cycles.commit"),
-            ("abort", "sim_swarm.cycles.abort"),
-            ("idle_no_task", "sim_swarm.cycles.idle_no_task"),
-            ("idle_cq_full", "sim_swarm.cycles.idle_cq_full"),
-            ("spill", "sim_swarm.cycles.spill"),
-            ("host", "sim_swarm.cycles.host"),
-        ],
-        Target::HammerBlade => &[
-            ("compute", "sim_hb.cycles.compute"),
-            ("llc_access", "sim_hb.cycles.llc_access"),
-            ("dram_stall", "sim_hb.cycles.dram_stall"),
-            ("bank", "sim_hb.cycles.bank"),
-            ("barrier", "sim_hb.cycles.barrier"),
-            ("host", "sim_hb.cycles.host"),
-        ],
-    }
-}
-
-/// The registry key holding the target's reported total.
-#[must_use]
-pub fn total_key(target: Target) -> &'static str {
-    match target {
-        Target::Cpu => "cpu.elapsed.ns",
-        Target::Gpu => "sim_gpu.cycles.total",
-        Target::Swarm => "sim_swarm.cycles.total",
-        Target::HammerBlade => "sim_hb.cycles.total",
-    }
-}
-
-/// The registry prefix all of a target's counters share.
-#[must_use]
-pub fn counter_prefix(target: Target) -> &'static str {
-    match target {
-        Target::Cpu => "cpu.",
-        Target::Gpu => "sim_gpu.",
-        Target::Swarm => "sim_swarm.",
-        Target::HammerBlade => "sim_hb.",
+        Target::Cpu => &ugc_backend_cpu::ATTRIBUTION,
+        Target::Gpu => &ugc_sim_gpu::ATTRIBUTION,
+        Target::Swarm => &ugc_sim_swarm::ATTRIBUTION,
+        Target::HammerBlade => &ugc_sim_hb::ATTRIBUTION,
     }
 }
 
 /// Extracts `target`'s attribution from a snapshot delta.
 #[must_use]
 pub fn attribution_from(target: Target, delta: &Snapshot) -> Attribution {
+    let keys = attribution_keys(target);
     Attribution {
         target,
-        unit: if target == Target::Cpu {
-            "ns"
-        } else {
-            "cycles"
-        },
-        components: component_keys(target)
+        unit: keys.unit,
+        components: keys
+            .components
             .iter()
             .map(|&(label, key)| (label, delta.value(key)))
             .collect(),
-        total: delta.value(total_key(target)),
+        total: delta.value(keys.total),
     }
 }
 
@@ -209,7 +161,7 @@ pub fn profile_backend(target: Target, scale: Scale) -> (Attribution, Snapshot) 
         let sched = baseline_schedule(target, algo);
         try_measure(target, algo, &graph, sched, 1).expect("profile workload runs");
     }
-    let delta = col.snapshot_prefix(counter_prefix(target));
+    let delta = col.snapshot_prefix(attribution_keys(target).prefix);
     (attribution_from(target, &delta), delta)
 }
 

@@ -37,8 +37,10 @@ use std::time::{Duration, Instant};
 
 use ugc_graph::Graph;
 use ugc_graphir::ir::Program;
+use ugc_graphir::types::Type;
 use ugc_runtime::interp::ExecError;
 use ugc_runtime::value::Value;
+use ugc_runtime::GraphVm;
 use ugc_schedule::ScheduleRef;
 
 pub use ugc_algorithms::Algorithm;
@@ -60,6 +62,18 @@ pub enum Target {
 impl Target {
     /// All four targets.
     pub const ALL: [Target; 4] = [Target::Cpu, Target::Gpu, Target::Swarm, Target::HammerBlade];
+
+    /// Parses a target as spelled on command lines and in `UGC_FALLBACK`
+    /// (`cpu`, `gpu`, `swarm`, `hb`/`hammerblade`; case-insensitive).
+    pub fn from_cli_name(s: &str) -> Option<Target> {
+        match s.to_ascii_lowercase().as_str() {
+            "cpu" => Some(Target::Cpu),
+            "gpu" => Some(Target::Gpu),
+            "swarm" => Some(Target::Swarm),
+            "hb" | "hammerblade" => Some(Target::HammerBlade),
+            _ => None,
+        }
+    }
 
     /// Display name.
     pub fn name(self) -> &'static str {
@@ -260,17 +274,14 @@ pub fn parse_fallback(s: &str) -> Result<Vec<Fallback>, String> {
         if part.is_empty() {
             continue;
         }
-        chain.push(match part.as_str() {
-            "cpu" => Fallback::Target(Target::Cpu),
-            "gpu" => Fallback::Target(Target::Gpu),
-            "swarm" => Fallback::Target(Target::Swarm),
-            "hb" | "hammerblade" => Fallback::Target(Target::HammerBlade),
-            "seq" | "reference" => Fallback::Reference,
-            other => {
-                return Err(format!(
-                    "UGC_FALLBACK entry `{other}` is not a backend (cpu/gpu/swarm/hb), `seq`, or `none`"
-                ))
-            }
+        chain.push(if let Some(t) = Target::from_cli_name(&part) {
+            Fallback::Target(t)
+        } else if part == "seq" || part == "reference" {
+            Fallback::Reference
+        } else {
+            return Err(format!(
+                "UGC_FALLBACK entry `{part}` is not a backend (cpu/gpu/swarm/hb), `seq`, or `none`"
+            ));
         });
     }
     if chain.is_empty() {
@@ -558,81 +569,40 @@ impl Compiler {
         prog: Program,
         graph: &Graph,
     ) -> Result<RunResult, UgcError> {
-        let snapshot = |state: &ugc_runtime::interp::ProgramState<'_>| {
-            let mut ints = HashMap::new();
-            let mut floats = HashMap::new();
-            for (i, p) in state.prog.properties.iter().enumerate() {
-                let id = ugc_runtime::properties::PropId(i);
-                let vals = state.props.snapshot(id);
-                match p.ty {
-                    ugc_graphir::types::Type::Float => {
-                        floats.insert(p.name.clone(), vals.iter().map(|v| v.as_float()).collect());
-                    }
-                    _ => {
-                        ints.insert(p.name.clone(), vals.iter().map(|v| v.as_int()).collect());
-                    }
-                }
-            }
-            (ints, floats)
-        };
         match target {
-            Target::Cpu => {
-                let vm = ugc_backend_cpu::CpuGraphVm::default();
-                let run = vm.execute(prog, graph, &self.externs)?;
-                let (ints, floats) = snapshot(&run.state);
-                Ok(RunResult {
-                    ints,
-                    floats,
-                    prints: run.state.prints.clone(),
-                    time_ms: run.elapsed.as_secs_f64() * 1e3,
-                    cycles: 0,
-                    attempts: 1,
-                    degraded_to: None,
-                })
-            }
-            Target::Gpu => {
-                let vm = ugc_backend_gpu::GpuGraphVm::default();
-                let run = vm.execute(prog, graph, &self.externs)?;
-                let (ints, floats) = snapshot(&run.state);
-                Ok(RunResult {
-                    ints,
-                    floats,
-                    prints: run.state.prints.clone(),
-                    time_ms: run.time_ms,
-                    cycles: run.cycles,
-                    attempts: 1,
-                    degraded_to: None,
-                })
-            }
-            Target::Swarm => {
-                let vm = ugc_backend_swarm::SwarmGraphVm::default();
-                let run = vm.execute(prog, graph, &self.externs)?;
-                let (ints, floats) = snapshot(&run.state);
-                Ok(RunResult {
-                    ints,
-                    floats,
-                    prints: run.state.prints.clone(),
-                    time_ms: run.time_ms,
-                    cycles: run.cycles,
-                    attempts: 1,
-                    degraded_to: None,
-                })
-            }
-            Target::HammerBlade => {
-                let vm = ugc_backend_hb::HbGraphVm::default();
-                let run = vm.execute(prog, graph, &self.externs)?;
-                let (ints, floats) = snapshot(&run.state);
-                Ok(RunResult {
-                    ints,
-                    floats,
-                    prints: run.state.prints.clone(),
-                    time_ms: run.time_ms,
-                    cycles: run.cycles,
-                    attempts: 1,
-                    degraded_to: None,
-                })
+            Target::Cpu => self.run_on(&ugc_backend_cpu::CpuGraphVm::default(), prog, graph),
+            Target::Gpu => self.run_on(&ugc_backend_gpu::GpuGraphVm::default(), prog, graph),
+            Target::Swarm => self.run_on(&ugc_backend_swarm::SwarmGraphVm::default(), prog, graph),
+            Target::HammerBlade => self.run_on(&ugc_backend_hb::HbGraphVm::default(), prog, graph),
+        }
+    }
+
+    /// Executes on one GraphVM and snapshots every property by its type.
+    fn run_on<V: GraphVm>(
+        &self,
+        vm: &V,
+        prog: Program,
+        graph: &Graph,
+    ) -> Result<RunResult, UgcError> {
+        let run = vm.execute(prog, graph, &self.externs)?;
+        let mut ints = HashMap::new();
+        let mut floats = HashMap::new();
+        for p in &run.state.prog.properties {
+            if p.ty == Type::Float {
+                floats.insert(p.name.clone(), run.property_floats(&p.name));
+            } else {
+                ints.insert(p.name.clone(), run.property_ints(&p.name));
             }
         }
+        Ok(RunResult {
+            ints,
+            floats,
+            prints: run.state.prints,
+            time_ms: run.time_ms,
+            cycles: run.cycles,
+            attempts: 1,
+            degraded_to: None,
+        })
     }
 
     /// Emits the target-flavored source text the paper's GraphVMs would

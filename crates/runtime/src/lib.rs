@@ -19,11 +19,14 @@
 //!   [`eval::MemoryModel`], so architecture simulators observe every
 //!   load/store/atomic with its address while the real CPU backend pays no
 //!   observation cost,
-//! * [`parallel`] / [`pool`] — work-distribution primitives for the CPU
-//!   backend, dispatching to a persistent std-only work-stealing worker
-//!   pool (`UGC_THREADS=1` forces deterministic serial execution),
+//! * [`pool`] — work-distribution primitives for the CPU backend: a
+//!   persistent std-only work-stealing worker pool (`UGC_THREADS=1`
+//!   forces deterministic serial execution), whose loops
+//!   [`parallel`] re-exports under a short path,
 //! * [`host`] — host-side variable environment shared by backend
-//!   interpreters.
+//!   interpreters,
+//! * [`vm`] — the [`GraphVm`] contract every backend implements and the
+//!   one [`Execution`] type a run returns.
 
 pub mod buckets;
 pub mod bytecode;
@@ -36,6 +39,7 @@ pub mod pool;
 pub mod properties;
 pub mod value;
 pub mod vertexset;
+pub mod vm;
 
 pub use buckets::BucketQueue;
 pub use bytecode::{compile_udfs, UdfId, UdfProgram, UdfSet};
@@ -46,3 +50,4 @@ pub use properties::{GlobalTable, PropId, PropertyStorage};
 pub use ugc_resilience::ErrorClass;
 pub use value::Value;
 pub use vertexset::VertexSet;
+pub use vm::{Execution, GraphVm};

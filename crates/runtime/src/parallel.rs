@@ -1,30 +1,11 @@
-//! Work-distribution primitives for the CPU backend.
+//! The data-parallel loop entry points under their short path.
 //!
-//! The public entry points [`parallel_for`] and [`parallel_for_with_local`]
-//! keep their original signatures but now dispatch to the persistent
-//! work-stealing pool in [`crate::pool`] — one spawn per worker per
-//! process instead of one spawn/join cycle per edge/vertex operator per
-//! traversal iteration (the dynamic-scheduling discipline of GraphIt's
-//! persistent OpenMP worker team). Using std keeps the workspace free of
-//! external runtime dependencies, like the paper's self-contained GraphVM
-//! runtime libraries.
-//!
-//! The original spawn-per-call implementations survive as
-//! [`spawn_parallel_for`] / [`spawn_parallel_for_with_local`], used only by
-//! the `pool_dispatch` microbenchmark as the comparison baseline.
-
-use std::ops::Range;
-use std::panic::resume_unwind;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-pub use crate::pool::default_threads;
+//! Both loops are implemented once, in [`crate::pool`]; this module only
+//! re-exports them, so `ugc_runtime::parallel::parallel_for` and
+//! `ugc_runtime::pool::parallel_for` are the same function.
 
 /// Runs `f(thread_id, start..end)` over chunks of `0..total` on up to
-/// `num_threads` persistent pool workers, chunks handed out dynamically
-/// with work stealing.
-///
-/// `f` must be safe to call concurrently. Chunk size is
-/// `max(chunk_hint, 1)`. See [`crate::pool::parallel_for`].
+/// `num_threads` persistent pool workers. See [`crate::pool::parallel_for`].
 ///
 /// # Example
 ///
@@ -38,96 +19,16 @@ pub use crate::pool::default_threads;
 /// });
 /// assert_eq!(sum.load(Ordering::Relaxed), 1000);
 /// ```
-pub fn parallel_for<F>(num_threads: usize, total: usize, chunk_hint: usize, f: F)
-where
-    F: Fn(usize, Range<usize>) + Sync,
-{
-    crate::pool::parallel_for(num_threads, total, chunk_hint, f);
-}
+pub use crate::pool::parallel_for;
 
-/// Runs `f(thread_id, start..end, &mut local)` like [`parallel_for`] but
-/// gives each worker a `T::default()` accumulator, returning all
-/// accumulators (useful for building output frontiers without contention).
+/// Like [`parallel_for`], with one `T::default()` accumulator per worker.
 /// See [`crate::pool::parallel_for_with_local`].
-pub fn parallel_for_with_local<T, F>(
-    num_threads: usize,
-    total: usize,
-    chunk_hint: usize,
-    f: F,
-) -> Vec<T>
-where
-    T: Default + Send,
-    F: Fn(usize, Range<usize>, &mut T) + Sync,
-{
-    crate::pool::parallel_for_with_local(num_threads, total, chunk_hint, f)
-}
-
-/// The pre-pool spawn-per-call [`parallel_for`]: `std::thread::scope` plus
-/// a shared atomic cursor. Kept as the measured baseline for the
-/// `pool_dispatch` microbenchmark — do not use on hot paths.
-pub fn spawn_parallel_for<F>(num_threads: usize, total: usize, chunk_hint: usize, f: F)
-where
-    F: Fn(usize, Range<usize>) + Sync,
-{
-    spawn_parallel_for_with_local::<(), _>(num_threads, total, chunk_hint, |tid, range, _| {
-        f(tid, range)
-    });
-}
-
-/// The pre-pool spawn-per-call [`parallel_for_with_local`]. Kept as the
-/// measured baseline for the `pool_dispatch` microbenchmark — do not use
-/// on hot paths. Unlike the original, a worker panic re-raises the
-/// original payload instead of a generic `.expect` message.
-pub fn spawn_parallel_for_with_local<T, F>(
-    num_threads: usize,
-    total: usize,
-    chunk_hint: usize,
-    f: F,
-) -> Vec<T>
-where
-    T: Default + Send,
-    F: Fn(usize, Range<usize>, &mut T) + Sync,
-{
-    if total == 0 {
-        return Vec::new();
-    }
-    let chunk = chunk_hint.max(1);
-    let threads = num_threads.max(1).min(total.div_ceil(chunk));
-    if threads <= 1 {
-        let mut local = T::default();
-        f(0, 0..total, &mut local);
-        return vec![local];
-    }
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(threads);
-        for tid in 0..threads {
-            let f = &f;
-            let cursor = &cursor;
-            handles.push(s.spawn(move || {
-                let mut local = T::default();
-                loop {
-                    let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= total {
-                        break;
-                    }
-                    let end = (start + chunk).min(total);
-                    f(tid, start..end, &mut local);
-                }
-                local
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)))
-            .collect()
-    })
-}
+pub use crate::pool::parallel_for_with_local;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn covers_every_index_exactly_once() {
@@ -146,51 +47,11 @@ mod tests {
     }
 
     #[test]
-    fn local_accumulators_merge() {
-        let locals = parallel_for_with_local::<Vec<usize>, _>(4, 100, 3, |_tid, range, local| {
-            local.extend(range);
-        });
-        let mut all: Vec<usize> = locals.into_iter().flatten().collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn single_thread_fallback() {
         let locals = parallel_for_with_local::<usize, _>(1, 10, 100, |tid, range, local| {
             assert_eq!(tid, 0);
             *local += range.len();
         });
         assert_eq!(locals, vec![10]);
-    }
-
-    #[test]
-    fn spawn_baseline_covers_every_index() {
-        let hits: Vec<AtomicU64> = (0..500).map(|_| AtomicU64::new(0)).collect();
-        spawn_parallel_for(8, 500, 7, |_tid, range| {
-            for i in range {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn spawn_baseline_propagates_panic_payload() {
-        let err = std::panic::catch_unwind(|| {
-            spawn_parallel_for_with_local::<usize, _>(4, 100, 1, |_tid, range, _| {
-                if range.contains(&42) {
-                    panic!("spawn boom");
-                }
-            });
-        })
-        .expect_err("must propagate");
-        let msg = err
-            .downcast_ref::<&str>()
-            .copied()
-            .map(str::to_string)
-            .or_else(|| err.downcast_ref::<String>().cloned())
-            .expect("original payload");
-        assert!(msg.contains("spawn boom"), "got: {msg}");
     }
 }

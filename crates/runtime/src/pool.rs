@@ -2,10 +2,9 @@
 //!
 //! The CPU GraphVM calls a parallel-for once per edge/vertex operator per
 //! traversal iteration. Spawning and joining OS threads at every call (the
-//! previous [`std::thread::scope`] implementation, kept as
-//! [`crate::parallel::spawn_parallel_for_with_local`] for comparison)
-//! charges a full thread-creation round-trip to every operator — hundreds
-//! of them for a single BFS run. GraphIt's CPU runtime amortizes that cost
+//! original [`std::thread::scope`] implementation) charges a full
+//! thread-creation round-trip to every operator — hundreds of them for a
+//! single BFS run. GraphIt's CPU runtime amortizes that cost
 //! with a persistent OpenMP worker team; this module is the equivalent for
 //! the UGC reproduction, std-only per the hermetic-workspace policy.
 //!
@@ -761,6 +760,16 @@ mod tests {
             }
         });
         assert_eq!(sum.load(Ordering::Relaxed), 64 * 10);
+    }
+
+    #[test]
+    fn local_accumulators_merge() {
+        let locals = parallel_for_with_local::<Vec<usize>, _>(4, 100, 3, |_tid, range, local| {
+            local.extend(range);
+        });
+        let mut all: Vec<usize> = locals.into_iter().flatten().collect();
+        all.sort_unstable();
+        assert_eq!(all, (0..100).collect::<Vec<_>>());
     }
 
     #[test]

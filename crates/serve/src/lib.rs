@@ -27,7 +27,7 @@
 //! ```
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -366,6 +366,13 @@ impl ListenerKind {
             ListenerKind::Unix(l) => l.accept().map(|(s, _)| StreamKind::Unix(s)),
         }
     }
+
+    fn set_nonblocking(&self, on: bool) -> std::io::Result<()> {
+        match self {
+            ListenerKind::Tcp(l) => l.set_nonblocking(on),
+            ListenerKind::Unix(l) => l.set_nonblocking(on),
+        }
+    }
 }
 
 /// One accepted client connection (TCP or unix), unified for the handler.
@@ -388,6 +395,20 @@ impl StreamKind {
         match self {
             StreamKind::Tcp(s) => s.set_read_timeout(t),
             StreamKind::Unix(s) => s.set_read_timeout(t),
+        }
+    }
+
+    fn set_nonblocking(&self, on: bool) -> std::io::Result<()> {
+        match self {
+            StreamKind::Tcp(s) => s.set_nonblocking(on),
+            StreamKind::Unix(s) => s.set_nonblocking(on),
+        }
+    }
+
+    fn shutdown_write(&self) -> std::io::Result<()> {
+        match self {
+            StreamKind::Tcp(s) => s.shutdown(Shutdown::Write),
+            StreamKind::Unix(s) => s.shutdown(Shutdown::Write),
         }
     }
 }
@@ -704,24 +725,67 @@ fn background_tuner(
 }
 
 fn accept_loop(listener: &ListenerKind, shared: &Arc<Shared>) {
+    let mut refused = Vec::new();
     loop {
-        let stream = match listener.accept() {
-            Ok(s) => s,
-            Err(_) => {
-                if shared.shutting_down.load(Ordering::SeqCst) {
-                    break;
-                }
-                continue;
+        match listener.accept() {
+            Ok(stream) if !shared.shutting_down.load(Ordering::SeqCst) => {
+                let sh = shared.clone();
+                let spawned = std::thread::Builder::new()
+                    .name("ugc-serve-conn".into())
+                    .spawn(move || handle_conn(stream, &sh));
+                drop(spawned);
             }
-        };
-        if shared.shutting_down.load(Ordering::SeqCst) {
-            break;
+            Ok(stream) => {
+                refused.push(stream);
+                break;
+            }
+            Err(_) if shared.shutting_down.load(Ordering::SeqCst) => break,
+            Err(_) => {}
         }
-        let sh = shared.clone();
-        let spawned = std::thread::Builder::new()
-            .name("ugc-serve-conn".into())
-            .spawn(move || handle_conn(stream, &sh));
-        drop(spawned);
+    }
+    // Closing the listener resets every connection still complete in the
+    // kernel backlog, so accept those first and refuse each with a reply.
+    if listener.set_nonblocking(true).is_ok() {
+        while let Ok(stream) = listener.accept() {
+            refused.push(stream);
+        }
+    }
+    std::thread::scope(|s| {
+        for stream in refused {
+            let _ = std::thread::Builder::new()
+                .name("ugc-serve-refuse".into())
+                .spawn_scoped(s, || refuse_draining(stream, shared));
+        }
+    });
+}
+
+/// How long a refused connection waits for its client to close.
+const REFUSE_LINGER: Duration = Duration::from_secs(1);
+
+/// Answers a connection that arrived during shutdown with `err draining`,
+/// half-closes it, then reads until the client closes (for at most about
+/// [`REFUSE_LINGER`]): closing with the request still unread would send a
+/// reset that can destroy the reply in flight. A connection that sent a
+/// request counts as `rejected`, never `admitted`.
+fn refuse_draining(mut stream: StreamKind, shared: &Shared) {
+    let reply = err_line("draining", "server shutting down; no new work admitted");
+    let replied = stream.set_nonblocking(false).is_ok()
+        && writeln!(stream, "{reply}")
+            .and_then(|()| stream.flush())
+            .is_ok();
+    if !replied || stream.shutdown_write().is_err() {
+        return;
+    }
+    let _ = stream.set_read_timeout(Some(REFUSE_LINGER));
+    let deadline = Instant::now() + REFUSE_LINGER;
+    let mut sink = [0u8; 1024];
+    let mut asked = false;
+    while Instant::now() < deadline && matches!(stream.read(&mut sink), Ok(1..)) {
+        asked = true;
+    }
+    if asked {
+        shared.counters.rejected.incr();
+        shared.counters.errors.incr();
     }
 }
 

@@ -41,7 +41,7 @@ use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use ugc_resilience::{budget, fault};
-use ugc_telemetry::Counter;
+use ugc_telemetry::{AttributionKeys, Counter};
 
 /// Where the simulated cycles went, cumulatively per simulator instance.
 ///
@@ -87,13 +87,25 @@ impl GpuAttribution {
     }
 }
 
+/// Registry keys of the cycle attribution, in
+/// [`GpuAttribution::components`] order.
+pub const ATTRIBUTION: AttributionKeys = AttributionKeys {
+    prefix: "sim_gpu.",
+    unit: "cycles",
+    components: &[
+        ("compute", "sim_gpu.cycles.compute"),
+        ("divergence", "sim_gpu.cycles.divergence"),
+        ("mem_stall", "sim_gpu.cycles.mem_stall"),
+        ("launch", "sim_gpu.cycles.launch"),
+        ("host", "sim_gpu.cycles.host"),
+    ],
+    total: "sim_gpu.cycles.total",
+};
+
 /// Registry handles for the `sim_gpu.` counter namespace.
 struct Counters {
-    compute: Counter,
-    divergence: Counter,
-    mem_stall: Counter,
-    launch: Counter,
-    host: Counter,
+    /// One per [`ATTRIBUTION`] component, in the same order.
+    cycles: [Counter; 5],
     total: Counter,
     kernels: Counter,
     warps: Counter,
@@ -107,12 +119,8 @@ struct Counters {
 fn counters() -> &'static Counters {
     static COUNTERS: OnceLock<Counters> = OnceLock::new();
     COUNTERS.get_or_init(|| Counters {
-        compute: Counter::new("sim_gpu.cycles.compute"),
-        divergence: Counter::new("sim_gpu.cycles.divergence"),
-        mem_stall: Counter::new("sim_gpu.cycles.mem_stall"),
-        launch: Counter::new("sim_gpu.cycles.launch"),
-        host: Counter::new("sim_gpu.cycles.host"),
-        total: Counter::new("sim_gpu.cycles.total"),
+        cycles: std::array::from_fn(|i| Counter::new(ATTRIBUTION.components[i].1)),
+        total: Counter::new(ATTRIBUTION.total),
         kernels: Counter::new("sim_gpu.kernels"),
         warps: Counter::new("sim_gpu.warps"),
         transactions: Counter::new("sim_gpu.transactions"),
@@ -316,11 +324,9 @@ impl GpuSim {
         self.attr.launch += delta.launch;
         self.attr.host += delta.host;
         let c = counters();
-        c.compute.add(delta.compute);
-        c.divergence.add(delta.divergence);
-        c.mem_stall.add(delta.mem_stall);
-        c.launch.add(delta.launch);
-        c.host.add(delta.host);
+        for (counter, (_, cycles)) in c.cycles.iter().zip(delta.components()) {
+            counter.add(cycles);
+        }
         c.total.add(delta.total());
     }
 

@@ -22,7 +22,7 @@ use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use ugc_resilience::{budget, fault};
-use ugc_telemetry::Counter;
+use ugc_telemetry::{AttributionKeys, Counter};
 
 /// Where the simulated cycles went, cumulatively per simulator instance.
 ///
@@ -66,14 +66,26 @@ impl HbAttribution {
     }
 }
 
+/// Registry keys of the cycle attribution, in
+/// [`HbAttribution::components`] order.
+pub const ATTRIBUTION: AttributionKeys = AttributionKeys {
+    prefix: "sim_hb.",
+    unit: "cycles",
+    components: &[
+        ("compute", "sim_hb.cycles.compute"),
+        ("llc_access", "sim_hb.cycles.llc_access"),
+        ("dram_stall", "sim_hb.cycles.dram_stall"),
+        ("bank", "sim_hb.cycles.bank"),
+        ("barrier", "sim_hb.cycles.barrier"),
+        ("host", "sim_hb.cycles.host"),
+    ],
+    total: "sim_hb.cycles.total",
+};
+
 /// Registry handles for the `sim_hb.` counter namespace.
 struct Counters {
-    compute: Counter,
-    llc_access: Counter,
-    dram_stall: Counter,
-    bank: Counter,
-    barrier: Counter,
-    host: Counter,
+    /// One per [`ATTRIBUTION`] component, in the same order.
+    cycles: [Counter; 6],
     total: Counter,
     phases: Counter,
     network_hops: Counter,
@@ -86,13 +98,8 @@ struct Counters {
 fn counters() -> &'static Counters {
     static COUNTERS: OnceLock<Counters> = OnceLock::new();
     COUNTERS.get_or_init(|| Counters {
-        compute: Counter::new("sim_hb.cycles.compute"),
-        llc_access: Counter::new("sim_hb.cycles.llc_access"),
-        dram_stall: Counter::new("sim_hb.cycles.dram_stall"),
-        bank: Counter::new("sim_hb.cycles.bank"),
-        barrier: Counter::new("sim_hb.cycles.barrier"),
-        host: Counter::new("sim_hb.cycles.host"),
-        total: Counter::new("sim_hb.cycles.total"),
+        cycles: std::array::from_fn(|i| Counter::new(ATTRIBUTION.components[i].1)),
+        total: Counter::new(ATTRIBUTION.total),
         phases: Counter::new("sim_hb.phases"),
         network_hops: Counter::new("sim_hb.network_hops"),
         llc_hits: Counter::new("sim_hb.llc_hits"),
@@ -228,6 +235,10 @@ pub struct HbStats {
     pub dram_stall_cycles: u64,
     /// Core-cycles of compute.
     pub compute_cycles: u64,
+    /// Achieved DRAM bandwidth as a fraction of peak over a whole run
+    /// (filled in when the run finishes; see
+    /// [`HbSim::bandwidth_utilization`]).
+    pub bandwidth_utilization: f64,
 }
 
 #[derive(Debug)]
@@ -300,12 +311,9 @@ impl HbSim {
         self.attr.barrier += delta.barrier;
         self.attr.host += delta.host;
         let c = counters();
-        c.compute.add(delta.compute);
-        c.llc_access.add(delta.llc_access);
-        c.dram_stall.add(delta.dram_stall);
-        c.bank.add(delta.bank);
-        c.barrier.add(delta.barrier);
-        c.host.add(delta.host);
+        for (counter, (_, cycles)) in c.cycles.iter().zip(delta.components()) {
+            counter.add(cycles);
+        }
         c.total.add(delta.total());
     }
 

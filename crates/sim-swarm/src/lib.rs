@@ -35,7 +35,7 @@ use std::collections::{BTreeSet, BinaryHeap, HashMap};
 use std::sync::OnceLock;
 
 use ugc_resilience::{budget, fault};
-use ugc_telemetry::{Counter, Histogram};
+use ugc_telemetry::{AttributionKeys, Counter, Histogram};
 
 /// Where the simulated wall-clock cycles went, cumulatively per simulator.
 ///
@@ -79,14 +79,26 @@ impl SwarmAttribution {
     }
 }
 
+/// Registry keys of the cycle attribution, in
+/// [`SwarmAttribution::components`] order.
+pub const ATTRIBUTION: AttributionKeys = AttributionKeys {
+    prefix: "sim_swarm.",
+    unit: "cycles",
+    components: &[
+        ("commit", "sim_swarm.cycles.commit"),
+        ("abort", "sim_swarm.cycles.abort"),
+        ("idle_no_task", "sim_swarm.cycles.idle_no_task"),
+        ("idle_cq_full", "sim_swarm.cycles.idle_cq_full"),
+        ("spill", "sim_swarm.cycles.spill"),
+        ("host", "sim_swarm.cycles.host"),
+    ],
+    total: "sim_swarm.cycles.total",
+};
+
 /// Registry handles for the `sim_swarm.` counter namespace.
 struct Counters {
-    commit: Counter,
-    abort: Counter,
-    idle_no_task: Counter,
-    idle_cq_full: Counter,
-    spill: Counter,
-    host: Counter,
+    /// One per [`ATTRIBUTION`] component, in the same order.
+    cycles: [Counter; 6],
     total: Counter,
     tasks_spawned: Counter,
     commits: Counter,
@@ -98,13 +110,8 @@ struct Counters {
 fn counters() -> &'static Counters {
     static COUNTERS: OnceLock<Counters> = OnceLock::new();
     COUNTERS.get_or_init(|| Counters {
-        commit: Counter::new("sim_swarm.cycles.commit"),
-        abort: Counter::new("sim_swarm.cycles.abort"),
-        idle_no_task: Counter::new("sim_swarm.cycles.idle_no_task"),
-        idle_cq_full: Counter::new("sim_swarm.cycles.idle_cq_full"),
-        spill: Counter::new("sim_swarm.cycles.spill"),
-        host: Counter::new("sim_swarm.cycles.host"),
-        total: Counter::new("sim_swarm.cycles.total"),
+        cycles: std::array::from_fn(|i| Counter::new(ATTRIBUTION.components[i].1)),
+        total: Counter::new(ATTRIBUTION.total),
         tasks_spawned: Counter::new("sim_swarm.tasks_spawned"),
         commits: Counter::new("sim_swarm.commits"),
         aborts: Counter::new("sim_swarm.aborts"),
@@ -310,12 +317,9 @@ impl SwarmSim {
         self.attr.spill += delta.spill;
         self.attr.host += delta.host;
         let c = counters();
-        c.commit.add(delta.commit);
-        c.abort.add(delta.abort);
-        c.idle_no_task.add(delta.idle_no_task);
-        c.idle_cq_full.add(delta.idle_cq_full);
-        c.spill.add(delta.spill);
-        c.host.add(delta.host);
+        for (counter, (_, cycles)) in c.cycles.iter().zip(delta.components()) {
+            counter.add(cycles);
+        }
         c.total.add(delta.total());
     }
 

@@ -404,6 +404,21 @@ fn json_str(s: &str) -> String {
     out
 }
 
+/// The registry keys of one backend's time attribution: component
+/// counters whose sum equals the total counter exactly. Each backend
+/// declares its keys next to the code that registers those counters.
+#[derive(Debug, Clone, Copy)]
+pub struct AttributionKeys {
+    /// Prefix every counter of the backend shares.
+    pub prefix: &'static str,
+    /// Unit of the attributed amounts (`"cycles"` or `"ns"`).
+    pub unit: &'static str,
+    /// `(component, key)` in display order.
+    pub components: &'static [(&'static str, &'static str)],
+    /// Key of the reported total.
+    pub total: &'static str,
+}
+
 /// Scoped delta collector: captures a baseline snapshot at construction
 /// and reports only what moved since. Global counters accumulate for the
 /// life of the process; collectors are how callers get per-run numbers

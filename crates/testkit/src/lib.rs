@@ -316,37 +316,36 @@ fn payload_message(payload: &Box<dyn std::any::Any + Send>) -> String {
 /// Suppresses the default "thread panicked at" stderr spam while the
 /// harness probes shrink candidates (hundreds of expected panics).
 ///
-/// The hook is global to the process, and `cargo test` runs tests on many
-/// threads, so the silencer keeps a refcount: the hook is replaced when the
-/// first silencer engages and restored when the last disengages. Panics
-/// from non-harness threads during that window still abort their test via
-/// `catch_unwind`-less propagation; only the *printing* is suppressed.
+/// The panic hook is process-global and `cargo test` runs tests on many
+/// threads, so the wrapper hook is installed exactly once and consults a
+/// thread-local depth: only panics on a thread that is currently probing
+/// are silenced. The hook takes no lock of its own, so it cannot deadlock
+/// against std's hook lock, and engaging never stacks another hook layer.
 struct PanicHookSilencer;
 
-static SILENCE: std::sync::Mutex<u32> = std::sync::Mutex::new(0);
+thread_local! {
+    static SILENCED: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+}
 
 impl PanicHookSilencer {
     fn engage() -> Self {
-        let mut n = SILENCE.lock().unwrap();
-        if *n == 0 {
+        static INSTALL: std::sync::Once = std::sync::Once::new();
+        INSTALL.call_once(|| {
             let prev = std::panic::take_hook();
             std::panic::set_hook(Box::new(move |info| {
-                if *SILENCE.lock().unwrap() == 0 {
+                if SILENCED.try_with(std::cell::Cell::get).unwrap_or(0) == 0 {
                     prev(info);
                 }
             }));
-        }
-        *n += 1;
+        });
+        SILENCED.with(|n| n.set(n.get() + 1));
         PanicHookSilencer
     }
 }
 
 impl Drop for PanicHookSilencer {
     fn drop(&mut self) {
-        let mut n = SILENCE.lock().unwrap();
-        *n -= 1;
-        // The replacement hook stays installed; with the count at zero it
-        // delegates to the previous hook, so behavior is transparent.
+        SILENCED.with(|n| n.set(n.get() - 1));
     }
 }
 

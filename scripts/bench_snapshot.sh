@@ -46,15 +46,7 @@ run_bench pool_dispatch
 echo "== guided vs blind autotuning (all targets, tiny scale)" >&2
 run_bench guided_tuning
 
-# Headline comparison the ROADMAP tracks: at n=1M the persistent pool must
-# beat (or at least match) spawn-per-call dispatch. Extract both medians
-# from the bench lines so the snapshot itself records the verdict.
-spawn_1m=$(awk -F'"median_ns":' \
-  '/"group":"pool_dispatch\/n=1048576"/ && /"label":"spawn"/ {split($2,a,","); print a[1]; exit}' "$TMP")
-pool_1m=$(awk -F'"median_ns":' \
-  '/"group":"pool_dispatch\/n=1048576"/ && /"label":"pool"/ {split($2,a,","); print a[1]; exit}' "$TMP")
-
-# Second headline: across the guided_tuning suite, the cost-model-pruned
+# Headline: across the guided_tuning suite, the cost-model-pruned
 # + warm-started search must spend several times fewer measurements than
 # the blind greedy search it replaced. Summed over the simulated targets
 # only — their cycle counts are deterministic, so the ratio is exactly
@@ -72,11 +64,6 @@ meas_guided=$(awk -F'"measurements":' \
   printf '  "host_threads": %s,\n' "$(nproc 2>/dev/null || echo 1)"
   printf '  "samples": %s,\n' "$UGC_BENCH_SAMPLES"
   printf '  "warmup": %s,\n' "$UGC_BENCH_WARMUP"
-  if [ -n "$spawn_1m" ] && [ -n "$pool_1m" ]; then
-    printf '  "pool_vs_spawn_1m": {"spawn_ns": %s, "pool_ns": %s, "pool_wins": %s},\n' \
-      "$spawn_1m" "$pool_1m" \
-      "$(awk -v s="$spawn_1m" -v p="$pool_1m" 'BEGIN{print (p <= s) ? "true" : "false"}')"
-  fi
   if [ "${meas_guided:-0}" -gt 0 ]; then
     printf '  "guided_vs_blind": {"measurements_blind": %s, "measurements_guided": %s, "budget_ratio": %s, "simulated_targets_only": true},\n' \
       "$meas_blind" "$meas_guided" \
@@ -88,9 +75,6 @@ meas_guided=$(awk -F'"measurements":' \
   printf '}\n'
 } >"$OUT"
 
-if [ -n "$spawn_1m" ] && [ -n "$pool_1m" ]; then
-  echo "pool vs spawn @1M: pool ${pool_1m} ns vs spawn ${spawn_1m} ns" >&2
-fi
 if [ "${meas_guided:-0}" -gt 0 ]; then
   echo "guided vs blind tuning (sim targets): ${meas_guided} vs ${meas_blind} measurements" >&2
 fi

@@ -14,8 +14,29 @@ cargo fmt --all -- --check
 echo "== cargo build --release --offline"
 cargo build --release --offline
 
-echo "== cargo test -q --offline"
-cargo test -q --offline
+# Every test binary runs under `timeout` (cargo's target runner), so a
+# hung binary fails the gate instead of stalling it; --no-fail-fast runs
+# every binary, so one red binary cannot hide a hang or failure behind it.
+host_triple="$(rustc -vV | sed -n 's/^host: //p')"
+test_runner="CARGO_TARGET_$(printf '%s' "$host_triple" | tr '[:lower:]-' '[:upper:]_')_RUNNER=timeout 600"
+
+echo "== cargo test -q --offline --no-fail-fast (600 s per test binary)"
+env "$test_runner" cargo test -q --offline --no-fail-fast
+
+echo "== race repeat loop (serve, chaos_serve, testkit unit tests; 20 iterations)"
+# A race is not fixed because one run passed: the daemon drain/shutdown
+# suites and the testkit panic-hook tests must pass 20 runs in a row.
+for i in $(seq 1 20); do
+  env "$test_runner" cargo test -q --offline -p ugc-integration --test serve --test chaos_serve \
+    > target/ci-race-loop.txt 2>&1 \
+    && env "$test_runner" cargo test -q --offline -p ugc-testkit --lib \
+      >> target/ci-race-loop.txt 2>&1 \
+    || {
+      echo "race loop: iteration $i of 20 failed" >&2
+      cat target/ci-race-loop.txt >&2
+      exit 1
+    }
+done
 
 echo "== cargo test under UGC_THREADS=1 (deterministic serial execution)"
 # The pool honors UGC_THREADS as a global cap; 1 means every parallel_for
@@ -23,15 +44,15 @@ echo "== cargo test under UGC_THREADS=1 (deterministic serial execution)"
 # ugc-integration includes the cross-backend differential conformance
 # suite (tests/differential_backends.rs) and the pool counter tests, so
 # both run serially here — the latter asserts steals == 0 exactly.
-UGC_THREADS=1 cargo test -q --offline -p ugc-runtime -p ugc-backend-cpu -p ugc-integration
+UGC_THREADS=1 env "$test_runner" cargo test -q --offline -p ugc-runtime -p ugc-backend-cpu -p ugc-integration
 
 echo "== cargo test under UGC_TELEMETRY=0 (counters compiled to no-ops)"
 # Disabled telemetry must leave results identical and registries empty;
 # telemetry_invariants asserts both, the differential suite proves the
 # answers don't change, pool_threads checks the all-zero counter branch,
 # and failure_modes drives the repro CLI's telemetry-off exit path.
-UGC_TELEMETRY=0 cargo test -q --offline -p ugc-telemetry
-UGC_TELEMETRY=0 cargo test -q --offline -p ugc-integration \
+UGC_TELEMETRY=0 env "$test_runner" cargo test -q --offline -p ugc-telemetry
+UGC_TELEMETRY=0 env "$test_runner" cargo test -q --offline -p ugc-integration \
   --test telemetry_invariants --test differential_backends \
   --test pool_threads --test failure_modes
 

@@ -4,6 +4,7 @@
 use ugc_algorithms::Algorithm;
 use ugc_backend_cpu::{CpuGraphVm, CpuSchedule};
 use ugc_integration::{compile, externs_for, test_graphs, validate};
+use ugc_runtime::GraphVm;
 use ugc_schedule::{
     CompositeCriteria, CompositeSchedule, Parallelization, SchedDirection, ScheduleRef,
 };

@@ -4,6 +4,7 @@
 use ugc_algorithms::Algorithm;
 use ugc_backend_gpu::{FrontierCreation, GpuGraphVm, GpuSchedule, LoadBalance};
 use ugc_integration::{compile, externs_for, test_graphs, validate};
+use ugc_runtime::GraphVm;
 use ugc_schedule::{SchedDirection, ScheduleRef};
 
 fn run_and_validate(algo: Algorithm, sched: Option<GpuSchedule>) {

@@ -16,10 +16,11 @@
 //!    results (BFS levels, SSSP distances).
 
 use ugc_algorithms::Algorithm;
-use ugc_backend_cpu::{kernels, CpuGraphVm, CpuSchedule, CpuScheduleSpace};
+use ugc_backend_cpu::{kernels, CpuGraphVm, CpuSchedule, CpuScheduleSpace, CpuStats};
 use ugc_graphir::ir::{Program, Stmt, StmtKind};
 use ugc_integration::{compile, externs_for, test_graphs, validate};
 use ugc_runtime::bytecode::{binding_of, compile_udfs, UdfSet};
+use ugc_runtime::GraphVm;
 use ugc_schedule::space::{PointIter, ScheduleSpace, SpaceParams};
 use ugc_schedule::{Parallelization, SchedDirection, ScheduleRef};
 
@@ -154,7 +155,7 @@ fn default_schedules_of_frontier_algorithms_specialize() {
 
 /// The primary result property of each algorithm, with its comparison
 /// domain (ints or float bits — both exact).
-fn result_bits(run: &ugc_backend_cpu::Execution<'_>, algo: Algorithm) -> Vec<u64> {
+fn result_bits(run: &ugc_runtime::Execution<'_, CpuStats>, algo: Algorithm) -> Vec<u64> {
     match algo {
         Algorithm::Bfs => run
             .property_ints("parent")

@@ -9,6 +9,7 @@ use ugc_backend_gpu::{FrontierCreation, GpuGraphVm, GpuSchedule, LoadBalance};
 use ugc_backend_hb::{HbGraphVm, HbLoadBalance, HbSchedule};
 use ugc_backend_swarm::{Frontiers, SwarmGraphVm, SwarmSchedule, TaskGranularity};
 use ugc_integration::{compile, externs_for, validate};
+use ugc_runtime::GraphVm;
 use ugc_schedule::{Parallelization, PullFrontierRepr, SchedDirection, ScheduleRef};
 
 fn graph() -> ugc_graph::Graph {

@@ -16,7 +16,7 @@
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use ugc::{Algorithm, Target};
-use ugc_bench::profile::{attribution_from, counter_prefix};
+use ugc_bench::profile::{attribution_from, attribution_keys};
 use ugc_bench::{baseline_schedule, try_measure};
 use ugc_graph::{Dataset, Graph, Scale};
 use ugc_telemetry::Collector;
@@ -227,7 +227,10 @@ fn simulator_snapshots_are_byte_stable_across_identical_runs() {
             let col = Collector::start();
             run_workload(target, Algorithm::Sssp, &graph);
             run_workload(target, Algorithm::Cc, &graph);
-            lines.push_str(&col.snapshot_prefix(counter_prefix(target)).to_json_lines());
+            lines.push_str(
+                &col.snapshot_prefix(attribution_keys(target).prefix)
+                    .to_json_lines(),
+            );
         }
         passes.push(lines);
     }
